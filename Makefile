@@ -1,6 +1,6 @@
 # Convenience targets for the Horse reproduction.
 
-.PHONY: install test lint lint-sim typecheck check bench bench-quick telemetry-gate sweep-smoke shard-smoke wire-smoke examples clean
+.PHONY: install test lint lint-sim typecheck check bench bench-quick telemetry-gate perfbench-check sweep-smoke shard-smoke wire-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -56,6 +56,22 @@ bench-quick:
 # Disabled telemetry must cost <5% on the hot path (vs BENCH_e2.json).
 telemetry-gate:
 	python -m benchmarks.telemetry_gate
+
+# Repository benchmark outcome gate: one short untraced run per
+# workload must reproduce every pinned flow outcome (perfbench/reference)
+# with no failed operations.  Timings are not judged here.
+PERFBENCH_WORKLOADS = ixp_replay reactive_learning hybrid_packets
+
+perfbench-check:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "== perfbench $$workload"; \
+		python3 perfbench/run.py --workload $$workload \
+			--seed 1 --seconds 1 --trace 0 | tail -n 1 | python3 -c \
+			"import json, sys; r = json.loads(sys.stdin.read()); \
+			ok = r['correct'] is True and r['failed'] == 0; \
+			print('correct=%s failed=%s attempted=%s' % (r['correct'], r['failed'], r['attempted'])); \
+			sys.exit(0 if ok else 1)" || exit 1; \
+	done
 
 # Crash-isolation smoke: a 4-job sweep on 2 workers with one injected
 # worker crash must retry the job and still complete 4/4.

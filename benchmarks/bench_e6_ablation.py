@@ -132,7 +132,7 @@ def _run_solver(incremental: bool):
     elapsed = time.perf_counter() - start
     # Positional (flow ids are globally unique across runs).
     fcts = [round(f.end_time or -1.0, 4) for f in flows]
-    scope = engine._incremental.last_scope if incremental else len(flows)
+    scope = engine._solver.last_scope if incremental else len(flows)
     return elapsed, fcts, engine.stats["rate_solves"], scope
 
 

@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from .core import Horse, HorseConfig
 from .errors import ExperimentError, HorseError
+from .flowsim.engine import SOLVER_MODES
 from .net.io import load_topology, save_topology
 from .runtime.scenario import (
     build_horse,
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", help="write the full run document here")
     run_p.add_argument(
         "--solver",
-        choices=["incremental", "full", "vector"],
+        choices=SOLVER_MODES,
         help="flow-engine rate solver (overrides the scenario)",
     )
     run_p.add_argument(
@@ -691,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record_p.add_argument(
         "--solver",
-        choices=["incremental", "full", "vector"],
+        choices=SOLVER_MODES,
         help="flow-engine rate solver (overrides the scenario)",
     )
     record_p.add_argument(

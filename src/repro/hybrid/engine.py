@@ -82,9 +82,8 @@ class HybridEngine:
     sync_interval_s:
         Cadence of the foreground/background coupling exchange.
     solver:
-        Background fair-share solver mode; ``"vector"`` is rejected
-        because the coupling needs the incremental solver's external
-        demand bookkeeping.
+        Background fair-share solver mode (see
+        :class:`~repro.flowsim.engine.FlowLevelEngine`).
     Remaining parameters mirror the two sub-engines.
     """
 
@@ -95,7 +94,7 @@ class HybridEngine:
         control: Optional[object] = None,
         select: str = "none",
         sync_interval_s: float = 0.05,
-        solver: Optional[str] = None,
+        solver: str = "incremental",
         route_cache: bool = True,
         mean_packet_bytes: int = 1000,
         max_hops: int = 64,
@@ -105,11 +104,6 @@ class HybridEngine:
         if sync_interval_s <= 0:
             raise SimulationError(
                 f"hybrid sync interval must be > 0, got {sync_interval_s}"
-            )
-        if solver == "vector":
-            raise SimulationError(
-                "hybrid engine needs the incremental solver's external-demand "
-                "support; solver='vector' is not compatible"
             )
         self.sim = sim
         self.topology = topology

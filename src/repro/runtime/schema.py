@@ -34,6 +34,7 @@ import warnings
 from typing import Dict, List, Set, Tuple
 
 from ..errors import ExperimentError
+from ..flowsim.engine import SOLVER_MODES
 
 SCHEMA_VERSION = 1
 
@@ -108,7 +109,7 @@ SECTION_FIELDS: Dict[str, Dict[str, tuple]] = {
 
 _TOP_ENUMS = {
     "engine": ("flow", "packet", "hybrid"),
-    "solver": ("incremental", "full", "vector"),
+    "solver": SOLVER_MODES,
     "control": ("inproc", "wire"),
 }
 

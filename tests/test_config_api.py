@@ -21,7 +21,7 @@ from repro.core.config import (
     WireConfig,
     reset_deprecation_warnings,
 )
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 
 
 @pytest.fixture(autouse=True)
@@ -91,8 +91,6 @@ def test_sharding_requires_flow_engine_inproc_control():
         HorseConfig(engine="packet", shard={"count": 2})
     with pytest.raises(ExperimentError, match="control"):
         HorseConfig(control="wire", shard={"count": 2})
-    with pytest.raises(ExperimentError, match="solver"):
-        HorseConfig(solver="vector", shard={"count": 2})
 
 
 # ----------------------------------------------------------------------
@@ -176,3 +174,80 @@ def test_prior_semantics_still_validated():
         HorseConfig(checkpoint={"interval_s": 5.0})  # needs a path
     with pytest.raises(ExperimentError):
         HorseConfig(telemetry={"monitor_mode": "stream"})
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"mean_packet_bytes": 0}, "mean_packet_bytes"),
+        ({"mean_packet_bytes": -1500}, "mean_packet_bytes"),
+        ({"entry_expiry_interval_s": 0}, "entry_expiry_interval_s"),
+        ({"entry_expiry_interval_s": -1.0}, "entry_expiry_interval_s"),
+        (
+            {"telemetry": {"monitor_interval_s": 0}},
+            "telemetry.monitor_interval_s",
+        ),
+        (
+            {"telemetry": {"monitor_interval_s": -0.5}},
+            "telemetry.monitor_interval_s",
+        ),
+        (
+            {"telemetry": {"link_sample_interval_s": 0.0}},
+            "telemetry.link_sample_interval_s",
+        ),
+        (
+            {"telemetry": {"link_sample_interval_s": -2.0}},
+            "telemetry.link_sample_interval_s",
+        ),
+    ],
+)
+def test_validate_rejects_values_that_fail_at_run_time(kwargs, field):
+    """Values that used to pass validation and then crash (or silently
+    mean "off") while the run is built are rejected up front, naming
+    the field."""
+    with pytest.raises(ExperimentError, match=field):
+        HorseConfig(**kwargs)
+
+
+def _vector_via_config():
+    HorseConfig(solver="vector")
+
+
+def _vector_via_scenario():
+    from repro.runtime.schema import validate_scenario
+
+    validate_scenario({"schema_version": 1, "solver": "vector"})
+
+
+def _vector_via_engine():
+    from repro.flowsim import FlowLevelEngine
+    from repro.net.generators import single_switch
+    from repro.sim import Simulator
+
+    FlowLevelEngine(Simulator(), single_switch(2), solver="vector")
+
+
+def _vector_via_cli():
+    from repro.cli import main
+
+    main(["run", "examples/scenarios/quickstart.json", "--solver", "vector"])
+
+
+@pytest.mark.parametrize(
+    "entry_point, error",
+    [
+        (_vector_via_config, ExperimentError),
+        (_vector_via_scenario, ExperimentError),
+        (_vector_via_engine, SimulationError),
+        (_vector_via_cli, SystemExit),
+    ],
+    ids=["config", "scenario", "engine", "cli"],
+)
+def test_removed_vector_solver_is_rejected(entry_point, error, capsys):
+    with pytest.raises(error) as caught:
+        entry_point()
+    if error is SystemExit:
+        assert caught.value.code == 2
+        assert "invalid choice: 'vector'" in capsys.readouterr().err
+    else:
+        assert "solver" in str(caught.value)
