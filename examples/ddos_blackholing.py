@@ -29,7 +29,8 @@ def main() -> None:
     controller.add_app(blackhole)
     controller.add_app(ShortestPathApp(match_on="ip_dst"))
     horse = Horse(topo, controller=controller,
-                  config=HorseConfig(link_sample_interval_s=0.25))
+                  config=HorseConfig(
+                      telemetry={"link_sample_interval_s": 0.25}))
 
     # Legitimate traffic to the victim plus background flows.
     legit = Flow(

@@ -49,7 +49,7 @@ def main() -> None:
     horse = Horse(
         fabric.topology,
         policies={"load_balancing": {"mode": "ecmp", "match_on": "ip_dst"}},
-        config=HorseConfig(link_sample_interval_s=0.5),
+        config=HorseConfig(telemetry={"link_sample_interval_s": 0.5}),
     )
     horse.submit_flows(flows)
     result = horse.run(until=60.0)

@@ -101,14 +101,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             scenario.setdefault("wire", {})["client"] = args.wire_client
         if args.wire_listen:
             scenario.setdefault("wire", {})["listen"] = args.wire_listen
-        if args.kernel_queue:
-            scenario.setdefault("kernel", {})["queue"] = args.kernel_queue
-        if args.kernel_compaction_threshold is not None:
-            # <= 0 on the command line means "disable compaction".
-            threshold = args.kernel_compaction_threshold
-            scenario.setdefault("kernel", {})["compaction_threshold"] = (
-                threshold if threshold > 0 else None
-            )
         if args.shards is not None or args.shard_quantum is not None:
             shards = shard_section(scenario)
             if args.shards is not None:
@@ -585,18 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         "minimum cross-shard link latency)",
     )
     run_p.add_argument(
-        "--kernel-queue",
-        choices=["heap", "sorted"],
-        help="pending-event-set implementation (overrides the scenario)",
-    )
-    run_p.add_argument(
-        "--kernel-compaction-threshold",
-        type=float,
-        metavar="FRACTION",
-        help="stale fraction of the event heap that triggers compaction "
-        "(0 or negative disables compaction)",
-    )
-    run_p.add_argument(
         "--check-digest",
         nargs="?",
         const="@golden",
@@ -642,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="wall-clock budget for controller connect/answers "
-        "(wire_latency_budget_s)",
+        "(wire.latency_budget_s)",
     )
     serve_p.add_argument(
         "--dilation",

@@ -2,11 +2,7 @@
 
 :class:`HorseConfig` groups the run knobs into nested sections —
 :class:`HybridConfig`, :class:`WireConfig`, :class:`TelemetryConfig`,
-:class:`CheckpointConfig`, and :class:`ShardConfig` — instead of the
-flat ``wire_*`` / ``hybrid_*`` / ``monitor_*`` / ``checkpoint_*``
-keyword soup the first eight iterations accreted.  The old flat
-constructor keywords (and flat attribute reads) still work through a
-deprecation shim that warns once per key; new code should write::
+:class:`CheckpointConfig`, and :class:`ShardConfig` — and each setting has exactly one spelling::
 
     HorseConfig(engine="hybrid",
                 hybrid=HybridConfig(select="top:4"),
@@ -14,37 +10,17 @@ deprecation shim that warns once per key; new code should write::
 
 Scenario JSON documents mirror the same sections (``"schema_version":
 1``; see :mod:`repro.runtime.schema` for the v0 migrator).
+:meth:`HorseConfig.validate` is the one place that decides which
+values are valid, for constructor calls and scenario files alike.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional
 
 from ..errors import ExperimentError
 from ..flowsim.engine import SOLVER_MODES
-
-#: Flat keys already warned about in this process (warn-once semantics).
-_WARNED_FLAT_KEYS: Set[str] = set()
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecated flat keys have warned (test hook)."""
-    _WARNED_FLAT_KEYS.clear()
-
-
-def _warn_flat_key(key: str, replacement: str) -> None:
-    """Warn about a deprecated flat config key, once per key per process."""
-    if key in _WARNED_FLAT_KEYS:
-        return
-    _WARNED_FLAT_KEYS.add(key)
-    warnings.warn(
-        f"HorseConfig flat key {key!r} is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
 
 @dataclass
 class HybridConfig:
@@ -167,31 +143,6 @@ class CheckpointConfig:
 
 
 @dataclass
-class KernelConfig:
-    """Event-kernel knobs: pending-event-set implementation and
-    stale-tombstone compaction (see :mod:`repro.sim.queue`).
-
-    Attributes
-    ----------
-    queue:
-        Pending-event-set implementation: ``"heap"`` (production binary
-        heap) or ``"sorted"`` (the naive E6 ablation baseline).
-    compaction_threshold:
-        Stale (cancelled-tombstone) fraction of the raw heap above
-        which the kernel rebuilds the pending set without tombstones.
-        The default 0.5 bounds the heap at ~2x the live events under
-        cancellation churn; None disables compaction (pure lazy
-        deletion, the pre-E14 behavior).
-    min_compact_size:
-        Raw heap size below which compaction never triggers.
-    """
-
-    queue: str = "heap"
-    compaction_threshold: Optional[float] = 0.5
-    min_compact_size: int = 64
-
-
-@dataclass
 class ShardConfig:
     """Sharded parallel-runtime knobs (see :mod:`repro.shard`).
 
@@ -224,27 +175,6 @@ class ShardConfig:
     checkpoint_dir: Optional[str] = None
 
 
-#: Deprecated flat constructor key -> (nested section, field name).
-FLAT_KEY_MAP: Dict[str, Tuple[str, str]] = {
-    "hybrid_select": ("hybrid", "select"),
-    "hybrid_sync_interval_s": ("hybrid", "sync_interval_s"),
-    "wire_listen": ("wire", "listen"),
-    "wire_client": ("wire", "client"),
-    "wire_client_routes": ("wire", "client_routes"),
-    "wire_sync_quantum_s": ("wire", "sync_quantum_s"),
-    "wire_latency_budget_s": ("wire", "latency_budget_s"),
-    "wire_dilation": ("wire", "dilation"),
-    "monitor_interval_s": ("telemetry", "monitor_interval_s"),
-    "monitor_threshold": ("telemetry", "monitor_threshold"),
-    "monitor_mode": ("telemetry", "monitor_mode"),
-    "monitor_push_min_delta_bytes": ("telemetry", "monitor_push_min_delta_bytes"),
-    "link_sample_interval_s": ("telemetry", "link_sample_interval_s"),
-    "trace_path": ("telemetry", "trace_path"),
-    "profile": ("telemetry", "profile"),
-    "checkpoint_path": ("checkpoint", "path"),
-    "checkpoint_interval_s": ("checkpoint", "interval_s"),
-}
-
 #: Section attribute name -> its dataclass type.
 SECTION_TYPES = {
     "hybrid": HybridConfig,
@@ -252,7 +182,6 @@ SECTION_TYPES = {
     "telemetry": TelemetryConfig,
     "checkpoint": CheckpointConfig,
     "shard": ShardConfig,
-    "kernel": KernelConfig,
 }
 
 
@@ -270,7 +199,9 @@ def _coerce_section(value, section: str):
             raise ExperimentError(
                 f"unknown {section} config key(s): {', '.join(unknown)}"
             )
-        return cls(**value)
+        # None (JSON null) means "use the default".  Every Optional
+        # field defaults to None, so null on one still means "off".
+        return cls(**{k: v for k, v in value.items() if v is not None})
     raise ExperimentError(
         f"{section} must be a {cls.__name__}, a dict, or None, "
         f"got {type(value).__name__}"
@@ -316,17 +247,11 @@ class HorseConfig:
         ``control_latency_s == 0`` — latency comes from the wall clock
         through the time gate — and is incompatible with in-process
         policies/controllers.
-    hybrid / wire / telemetry / checkpoint / shard / kernel:
+    hybrid / wire / telemetry / checkpoint / shard:
         Nested sections; see :class:`HybridConfig`,
         :class:`WireConfig`, :class:`TelemetryConfig`,
-        :class:`CheckpointConfig`, :class:`ShardConfig`,
-        :class:`KernelConfig`.  Each accepts an instance or a plain
-        dict.
-
-    Deprecated flat keywords (``wire_listen``, ``hybrid_select``,
-    ``monitor_interval_s``, ``checkpoint_path``, ...) are still
-    accepted — mapped into the nested sections with a once-per-key
-    :class:`DeprecationWarning` (see :data:`FLAT_KEY_MAP`).
+        :class:`CheckpointConfig`, and :class:`ShardConfig`.  Each
+        accepts an instance or a plain dict.
     """
 
     engine: str = "flow"
@@ -347,7 +272,6 @@ class HorseConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     shard: ShardConfig = field(default_factory=ShardConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __init__(
         self,
@@ -369,9 +293,13 @@ class HorseConfig:
         telemetry=None,
         checkpoint=None,
         shard=None,
-        kernel=None,
-        **flat,
+        **unknown,
     ) -> None:
+        if unknown:
+            raise ExperimentError(
+                "unknown HorseConfig argument(s): "
+                + ", ".join(repr(key) for key in sorted(unknown))
+            )
         self.engine = engine
         self.seed = seed
         self.control_latency_s = control_latency_s
@@ -390,33 +318,6 @@ class HorseConfig:
         self.telemetry = _coerce_section(telemetry, "telemetry")
         self.checkpoint = _coerce_section(checkpoint, "checkpoint")
         self.shard = _coerce_section(shard, "shard")
-        self.kernel = _coerce_section(kernel, "kernel")
-        explicit_sections = {
-            name
-            for name, value in (
-                ("hybrid", hybrid),
-                ("wire", wire),
-                ("telemetry", telemetry),
-                ("checkpoint", checkpoint),
-                ("shard", shard),
-                ("kernel", kernel),
-            )
-            if value is not None
-        }
-        for key, value in flat.items():
-            target = FLAT_KEY_MAP.get(key)
-            if target is None:
-                raise ExperimentError(
-                    f"unknown HorseConfig argument {key!r}"
-                )
-            section, name = target
-            if section in explicit_sections:
-                raise ExperimentError(
-                    f"both {key!r} and the {section!r} section were given; "
-                    f"drop the deprecated flat key and set {section}.{name}"
-                )
-            _warn_flat_key(key, f"{section}.{name}")
-            setattr(getattr(self, section), name, value)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -489,23 +390,6 @@ class HorseConfig:
                 raise ExperimentError(
                     "checkpoint.interval_s needs a checkpoint.path"
                 )
-        kern = self.kernel
-        if kern.queue not in ("heap", "sorted"):
-            raise ExperimentError(
-                f"kernel.queue must be 'heap' or 'sorted', got {kern.queue!r}"
-            )
-        if kern.compaction_threshold is not None and not (
-            0.0 < kern.compaction_threshold <= 1.0
-        ):
-            raise ExperimentError(
-                "kernel.compaction_threshold must be in (0, 1] or None, "
-                f"got {kern.compaction_threshold!r}"
-            )
-        if kern.min_compact_size < 0:
-            raise ExperimentError(
-                "kernel.min_compact_size must be >= 0, "
-                f"got {kern.min_compact_size!r}"
-            )
         sh = self.shard
         if sh.count < 1:
             raise ExperimentError(f"shard.count must be >= 1, got {sh.count}")
@@ -533,24 +417,3 @@ class HorseConfig:
         """``wire.listen`` split into ``(host, port)``."""
         return self.wire.parsed_listen()
 
-
-def _flat_shim(flat: str, section: str, name: str) -> property:
-    """A property proxying a deprecated flat attribute to its nested
-    section field, warning once per key per process."""
-
-    def getter(self):
-        _warn_flat_key(flat, f"{section}.{name}")
-        return getattr(getattr(self, section), name)
-
-    def setter(self, value):
-        _warn_flat_key(flat, f"{section}.{name}")
-        setattr(getattr(self, section), name, value)
-
-    getter.__name__ = flat
-    doc = f"Deprecated alias for ``{section}.{name}`` (warns once)."
-    return property(getter, setter, doc=doc)
-
-
-for _flat, (_section, _name) in FLAT_KEY_MAP.items():
-    setattr(HorseConfig, _flat, _flat_shim(_flat, _section, _name))
-del _flat, _section, _name

@@ -31,7 +31,6 @@ from ..openflow.switch import attach_pipeline
 from ..pktsim.engine import PacketLevelEngine
 from ..sim.event import CallbackEvent
 from ..sim.kernel import Simulator
-from ..sim.queue import build_event_queue
 from ..sim.rng import RngRegistry
 from ..stats.collector import RunStatsCollector
 from ..telemetry import Telemetry
@@ -70,14 +69,7 @@ class Horse:
         self.topology = topology
         self.config = config or HorseConfig()
         self.rngs = RngRegistry(self.config.seed)
-        kcfg = self.config.kernel
-        self.sim = Simulator(
-            queue=build_event_queue(
-                kcfg.queue,
-                compaction_threshold=kcfg.compaction_threshold,
-                min_compact_size=kcfg.min_compact_size,
-            )
-        )
+        self.sim = Simulator()
         self.compiled: Optional[CompiledPolicy] = None
 
         if policies is not None and controller is not None:
@@ -253,7 +245,7 @@ class Horse:
         topology/pipeline state, active flows, solver state, and
         statistics; :meth:`restore` yields a run whose results are
         bitwise-identical to one that was never interrupted.  ``path``
-        defaults to ``config.checkpoint_path``.  Returns the checkpoint
+        defaults to ``config.checkpoint.path``.  Returns the checkpoint
         header (format version, digests, metadata).
         """
         from ..runtime.checkpoint import save_checkpoint
@@ -382,7 +374,7 @@ class Horse:
 
         Slicing is behavior-preserving: repeated ``run(until=t_k)`` calls
         fire the same events at the same times as one call, so with
-        ``wire_dilation == 0`` (where every controller exchange resolves
+        ``wire.dilation == 0`` (where every controller exchange resolves
         inline) a gated run is bitwise-identical to an ungated one.
         """
         quantum = self.config.wire.sync_quantum_s

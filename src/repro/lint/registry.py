@@ -15,7 +15,6 @@ Rule ids are grouped by family prefix::
     TEL...   telemetry zero-cost guards
     PRIV...  cross-module private-member access
     EVT...   event-handler hygiene
-    DEP...   deprecated-API usage (flat HorseConfig keys)
     LINT...  the linter's own hygiene (e.g. reason-less suppressions)
 """
 

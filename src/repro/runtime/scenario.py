@@ -39,6 +39,10 @@ migrated on load with deprecation warnings)::
                        "partition": "greedy" | [[...], ...],
                        "checkpoint_dir": null}
     }
+
+Any other top-level key (besides ``"_comment"``) is rejected, and
+``null`` on a section field means that field's default.  Value checks
+live in :meth:`~repro.core.config.HorseConfig.validate` alone.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from ..net.io import load_topology
 from ..control.policy.spec import parse_rate
 from ..traffic.flowgen import FlowGenerator
 from ..traffic.matrix import TrafficMatrix
-from .schema import ensure_v1, shard_section, validate_scenario
+from .schema import ensure_v1, scenario_config, shard_section
 
 
 def build_topology(spec: dict):
@@ -106,23 +110,11 @@ def build_config(
 
     ``solver`` overrides the scenario's choice (the ``repro run
     --solver`` flag).  Legacy (v0) documents are migrated in memory
-    first, warning once per deprecated key.
+    first, warning once per deprecated key.  Raises
+    :class:`~repro.errors.ExperimentError` naming the first invalid
+    field (see :func:`repro.runtime.schema.validate_scenario`).
     """
-    validate_scenario(scenario)
-    doc = ensure_v1(scenario)
-    return HorseConfig(
-        engine=doc.get("engine", "flow"),
-        solver=solver or doc.get("solver", "incremental"),
-        route_cache=doc.get("route_cache", True),
-        seed=doc.get("seed", 0),
-        control=doc.get("control", "inproc"),
-        hybrid=doc.get("hybrid") or None,
-        wire=doc.get("wire") or None,
-        telemetry=doc.get("telemetry") or None,
-        checkpoint=doc.get("checkpoint") or None,
-        shard=shard_section(doc) or None,
-        kernel=doc.get("kernel") or None,
-    )
+    return scenario_config(ensure_v1(scenario), solver=solver)
 
 
 def build_horse(

@@ -16,25 +16,32 @@ sections instead::
       "wire":      {"client": "learning", "listen": "127.0.0.1:0", ...},
       "telemetry": {"monitor_interval_s": 0.5, "trace_path": ..., ...},
       "checkpoint": {"path": "run.ckpt", "interval_s": 5.0},
-      "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"},
-      "kernel":    {"queue": "heap", "compaction_threshold": 0.5}
+      "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"}
     }
 
 ``"shards"`` also accepts a bare integer (``"shards": 4``).  Documents
 without ``schema_version`` are treated as v0: :func:`ensure_v1`
 migrates them in memory, warning once per deprecated key per process;
-``repro migrate-scenario`` rewrites the file.  :func:`validate_scenario`
-reports problems with dotted paths (``"wire.dilation: must be >= 0"``).
+``repro migrate-scenario`` rewrites the file.
+
+:func:`validate_scenario` checks only structure here — the schema
+version, known keys, and JSON types (plus ``until >= 0``, which is
+not a config field) — and then builds the
+:class:`~repro.core.config.HorseConfig` the document describes, so
+:meth:`HorseConfig.validate` alone decides which values are valid.
+Errors name the offending field by dotted path
+(``"wire.dilation: expected int or float, got str"``,
+``"wire.dilation must be >= 0"``).
 """
 
 from __future__ import annotations
 
 import copy
 import warnings
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.config import HorseConfig
 from ..errors import ExperimentError
-from ..flowsim.engine import SOLVER_MODES
 
 SCHEMA_VERSION = 1
 
@@ -100,18 +107,13 @@ SECTION_FIELDS: Dict[str, Dict[str, tuple]] = {
         "partition": (str, list),
         "checkpoint_dir": _OPT_STR,
     },
-    "kernel": {
-        "queue": (str,),
-        "compaction_threshold": _OPT_NUM,
-        "min_compact_size": (int,),
-    },
 }
 
-_TOP_ENUMS = {
-    "engine": ("flow", "packet", "hybrid"),
-    "solver": SOLVER_MODES,
-    "control": ("inproc", "wire"),
-}
+#: Every key a v1 document may carry at the top level.
+TOP_KEYS = frozenset(
+    {"schema_version", "_comment", "engine", "solver", "route_cache",
+     "seed", "control", "until", "topology", "policies", "traffic"}
+) | frozenset(SECTION_FIELDS)
 
 #: Deprecated scenario keys already warned about (warn-once semantics).
 _WARNED_SCENARIO_KEYS: Set[str] = set()
@@ -231,33 +233,40 @@ def _type_names(types: tuple) -> str:
 
 
 def validate_scenario(doc: dict) -> None:
-    """Check a v1 document's sections; raises
+    """Check a scenario document; raises
     :class:`~repro.errors.ExperimentError` naming the offending field
     by dotted path.  Accepts v0 documents by migrating a throwaway
     copy first, so errors always report v1 paths.
     """
-    doc = ensure_v1(doc, warn=False)
-    for key, allowed in _TOP_ENUMS.items():
-        if key in doc and doc[key] not in allowed:
-            raise ExperimentError(
-                f"{key}: must be one of {', '.join(allowed)}, "
-                f"got {doc[key]!r}"
-            )
+    scenario_config(ensure_v1(doc, warn=False))
+
+
+def scenario_config(doc: dict, solver: Optional[str] = None) -> HorseConfig:
+    """The :class:`HorseConfig` a v1 document describes.
+
+    Checks the document's structure (known keys, JSON types) and leaves
+    every config value check to :meth:`HorseConfig.validate`; only
+    ``until``, a run argument rather than a config field, is range
+    checked here.  ``solver`` overrides the document's choice
+    (``repro run --solver``).
+    """
+    unknown = sorted(set(doc) - TOP_KEYS)
+    if unknown:
+        raise ExperimentError(f"{', '.join(unknown)}: unknown key")
     if "until" in doc and doc["until"] is not None:
         _check_type("until", doc["until"], _NUM)
         if doc["until"] < 0:
             raise ExperimentError("until: must be >= 0")
     if "seed" in doc:
         _check_type("seed", doc["seed"], (int,))
+    if "route_cache" in doc:
+        _check_type("route_cache", doc["route_cache"], (bool,))
     for section, fields in SECTION_FIELDS.items():
         if section not in doc:
             continue
         value = doc[section]
         if section == "shards" and isinstance(value, int):
-            if isinstance(value, bool) or value < 1:
-                raise ExperimentError(
-                    f"shards: must be an integer >= 1, got {value!r}"
-                )
+            _check_type("shards", value, (int,))
             continue
         if not isinstance(value, dict):
             raise ExperimentError(
@@ -271,28 +280,18 @@ def validate_scenario(doc: dict) -> None:
                 # null = "use the default" for any field in JSON.
                 continue
             _check_type(f"{section}.{field}", fval, types)
-    kern = doc.get("kernel")
-    if isinstance(kern, dict):
-        queue = kern.get("queue", "heap")
-        if queue not in ("heap", "sorted"):
-            raise ExperimentError(
-                f"kernel.queue: must be 'heap' or 'sorted', got {queue!r}"
-            )
-        threshold = kern.get("compaction_threshold")
-        if threshold is not None and not (0.0 < threshold <= 1.0):
-            raise ExperimentError(
-                "kernel.compaction_threshold: must be in (0, 1] or null"
-            )
-    sh = doc.get("shards")
-    if isinstance(sh, dict):
-        count = sh.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ExperimentError(
-                f"shards.count: must be an integer >= 1, got {count!r}"
-            )
-        quantum = sh.get("quantum_s")
-        if quantum is not None and quantum <= 0:
-            raise ExperimentError("shards.quantum_s: must be > 0")
+    return HorseConfig(
+        engine=doc.get("engine", "flow"),
+        solver=solver or doc.get("solver", "incremental"),
+        route_cache=doc.get("route_cache", True),
+        seed=doc.get("seed", 0),
+        control=doc.get("control", "inproc"),
+        hybrid=doc.get("hybrid"),
+        wire=doc.get("wire"),
+        telemetry=doc.get("telemetry"),
+        checkpoint=doc.get("checkpoint"),
+        shard=shard_section(doc) or None,
+    )
 
 
 def shard_section(doc: dict) -> dict:

@@ -51,7 +51,7 @@ from ..runtime.scenario import (
     build_traffic,
     reset_id_counters,
 )
-from ..runtime.schema import ensure_v1, validate_scenario
+from ..runtime.schema import ensure_v1
 from .partition import ShardPlan, partition_topology
 
 #: Floor for a derived synchronization quantum.  Link propagation
@@ -471,7 +471,6 @@ def run_sharded(
     criterion across processes).
     """
     scenario = ensure_v1(scenario, warn=False)
-    validate_scenario(scenario)
     config: HorseConfig = build_config(scenario, solver=solver)
     count = config.shard.count
     if count < 2:

@@ -79,7 +79,7 @@ class TestEmptyForeground:
             "flow", _crossload_flows, solver="incremental"
         )
         hy_horse, hy_result, hy_flows = _run(
-            "hybrid", _crossload_flows, hybrid_select="none"
+            "hybrid", _crossload_flows, hybrid={"select": "none"}
         )
         # Event-for-event: the lazily scheduled sync ticker must never
         # have been created.
@@ -95,7 +95,7 @@ class TestEmptyForeground:
 
     def test_empty_foreground_summary_matches_flowsim_bytes(self):
         _, ref_result, _ = _run("flow", _crossload_flows, solver="incremental")
-        _, hy_result, _ = _run("hybrid", _crossload_flows, hybrid_select="none")
+        _, hy_result, _ = _run("hybrid", _crossload_flows, hybrid={"select": "none"})
         for key in ("bytes_sent", "bytes_delivered", "total_flows"):
             assert hy_result.engine_summary[key] == ref_result.engine_summary[key]
 
@@ -104,7 +104,7 @@ class TestAllForeground:
     def test_packet_dynamics_identical_to_pure_pktsim(self):
         ref_horse, ref_result, ref_flows = _run("packet", _crossload_flows)
         hy_horse, hy_result, hy_flows = _run(
-            "hybrid", _crossload_flows, hybrid_select="all"
+            "hybrid", _crossload_flows, hybrid={"select": "all"}
         )
         # With zero background flows the residual capacity equals the
         # configured capacity exactly, so per-flow packet dynamics are
@@ -129,7 +129,7 @@ class TestMixedMode:
         processing several times fewer events."""
         _, ref_result, ref_flows = _run("packet", _crossload_flows)
         hy_horse, hy_result, hy_flows = _run(
-            "hybrid", _crossload_flows, hybrid_select="top:2"
+            "hybrid", _crossload_flows, hybrid={"select": "top:2"}
         )
         foreground_ids = set(hy_horse.engine._fg)
         assert len(foreground_ids) == 2
@@ -165,7 +165,7 @@ class TestMixedMode:
             ]
 
         hy_horse, _, hy_flows = _run(
-            "hybrid", flows, hybrid_select="match:tp_src=1000"
+            "hybrid", flows, hybrid={"select": "match:tp_src=1000"}
         )
         background_flow = hy_flows[1]
         # Without the coupling the background flow would solve to the

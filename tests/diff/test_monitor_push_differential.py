@@ -29,8 +29,7 @@ def _run(mode: str):
             }
         },
         config=HorseConfig(
-            monitor_interval_s=0.5,
-            monitor_mode=mode,
+            telemetry={"monitor_interval_s": 0.5, "monitor_mode": mode},
         ),
     )
     # Three elephants all leaving leaf1: the per-destination hashes pile

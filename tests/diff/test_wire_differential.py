@@ -37,8 +37,7 @@ from workloads import make_flow
 
 WIRE_CONFIG = dict(
     control="wire",
-    wire_client="learning",
-    wire_latency_budget_s=60.0,
+    wire={"client": "learning", "latency_budget_s": 60.0},
 )
 
 

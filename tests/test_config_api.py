@@ -1,34 +1,26 @@
-"""The consolidated configuration API: nested sections + flat shims.
+"""The consolidated configuration API: nested sections, one spelling.
 
 Covers the api_redesign contract: nested section dataclasses are the
-real surface, every legacy flat key keeps working through a warn-once
-deprecation shim, and the shim inventory (config, scenario schema,
-lint rule) stays in sync.
+only surface, every setting has one spelling, :meth:`HorseConfig.validate`
+decides which values are valid, and the removed spellings (flat keys,
+the ``kernel`` section and its CLI flags) are rejected by name.
 """
 
-import warnings
+import dataclasses
+import typing
 
 import pytest
 
 from repro.core.config import (
-    FLAT_KEY_MAP,
+    SECTION_TYPES,
     CheckpointConfig,
     HorseConfig,
     HybridConfig,
-    KernelConfig,
     ShardConfig,
     TelemetryConfig,
     WireConfig,
-    reset_deprecation_warnings,
 )
 from repro.errors import ExperimentError, SimulationError
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 # ----------------------------------------------------------------------
@@ -42,9 +34,6 @@ def test_default_sections():
     assert config.checkpoint == CheckpointConfig()
     assert config.shard == ShardConfig()
     assert config.shard.count == 1
-    assert config.kernel == KernelConfig()
-    assert config.kernel.queue == "heap"
-    assert config.kernel.compaction_threshold == 0.5
 
 
 def test_sections_accept_instances_and_dicts():
@@ -68,24 +57,6 @@ def test_shard_section_validation():
         HorseConfig(shard={"count": 2, "partition": "metis"})
 
 
-def test_kernel_section_validation():
-    config = HorseConfig(kernel={"queue": "sorted"})
-    assert config.kernel.queue == "sorted"
-    assert HorseConfig(
-        kernel={"compaction_threshold": None}
-    ).kernel.compaction_threshold is None
-    with pytest.raises(ExperimentError, match="queue"):
-        HorseConfig(kernel={"queue": "fibonacci"})
-    with pytest.raises(ExperimentError, match="compaction_threshold"):
-        HorseConfig(kernel={"compaction_threshold": 1.5})
-    with pytest.raises(ExperimentError, match="compaction_threshold"):
-        HorseConfig(kernel={"compaction_threshold": 0.0})
-    with pytest.raises(ExperimentError, match="min_compact_size"):
-        HorseConfig(kernel={"min_compact_size": -1})
-    with pytest.raises(ExperimentError, match="unknown"):
-        HorseConfig(kernel={"threshold": 0.5})
-
-
 def test_sharding_requires_flow_engine_inproc_control():
     with pytest.raises(ExperimentError, match="flow"):
         HorseConfig(engine="packet", shard={"count": 2})
@@ -93,78 +64,20 @@ def test_sharding_requires_flow_engine_inproc_control():
         HorseConfig(control="wire", shard={"count": 2})
 
 
-# ----------------------------------------------------------------------
-# Flat-key deprecation shims
-# ----------------------------------------------------------------------
-def test_flat_kwargs_route_to_sections():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        config = HorseConfig(
-            hybrid_select="all",
-            wire_listen="0.0.0.0:6653",
-            monitor_interval_s=2.0,
-            checkpoint_path="/tmp/x.ckpt",
-        )
-    assert config.hybrid.select == "all"
-    assert config.wire.listen == "0.0.0.0:6653"
-    assert config.telemetry.monitor_interval_s == 2.0
-    assert config.checkpoint.path == "/tmp/x.ckpt"
-
-
-def test_flat_kwarg_warns_once_per_key():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        HorseConfig(hybrid_select="all")
-        HorseConfig(hybrid_select="none")
-        HorseConfig(trace_path="a.jsonl")
-    messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-    assert sum("hybrid_select" in m for m in messages) == 1
-    assert sum("trace_path" in m for m in messages) == 1
-    # ... and the replacement is named so callers know what to write.
-    assert any("hybrid.select" in m for m in messages)
-
-
-def test_flat_property_read_warns_and_aliases():
-    config = HorseConfig(hybrid={"select": "top:3"})
-    with pytest.warns(DeprecationWarning, match="hybrid.select"):
-        assert config.hybrid_select == "top:3"
-    reset_deprecation_warnings()
-    with pytest.warns(DeprecationWarning):
-        assert config.checkpoint_path is None
-
-
-def test_every_flat_key_has_a_working_shim():
-    for flat, (section, field) in FLAT_KEY_MAP.items():
-        reset_deprecation_warnings()
-        config = HorseConfig()
-        with pytest.warns(DeprecationWarning):
-            value = getattr(config, flat)
-        assert value == getattr(getattr(config, section), field)
-
-
-def test_flat_and_nested_conflict_rejected():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ExperimentError, match="both"):
-            HorseConfig(hybrid={"select": "all"}, hybrid_select="none")
+@pytest.mark.parametrize("section", sorted(SECTION_TYPES))
+def test_optional_section_fields_default_to_none(section):
+    """Null-as-default keeps meaning "off" on Optional fields only
+    while each of them defaults to None."""
+    cls = SECTION_TYPES[section]
+    hints = typing.get_type_hints(cls)
+    for spec in dataclasses.fields(cls):
+        if type(None) in typing.get_args(hints[spec.name]):
+            assert spec.default is None, f"{section}.{spec.name}"
 
 
 def test_unknown_kwarg_still_rejected():
     with pytest.raises(ExperimentError, match="hybrid_selector"):
         HorseConfig(hybrid_selector="all")
-
-
-# ----------------------------------------------------------------------
-# Shim inventory stays in sync across the codebase
-# ----------------------------------------------------------------------
-def test_lint_rule_mirrors_flat_key_map():
-    from repro.lint.rules.deprecation import FLAT_KEYS
-
-    want = {
-        flat: f"{section}.{field}"
-        for flat, (section, field) in FLAT_KEY_MAP.items()
-    }
-    assert FLAT_KEYS == want
 
 
 def test_prior_semantics_still_validated():
@@ -251,3 +164,70 @@ def test_removed_vector_solver_is_rejected(entry_point, error, capsys):
         assert "invalid choice: 'vector'" in capsys.readouterr().err
     else:
         assert "solver" in str(caught.value)
+
+
+#: The flat keywords removed after their deprecation period, each with
+#: a value its nested replacement accepts.
+REMOVED_FLAT_KEYS = {
+    "hybrid_select": "all",
+    "hybrid_sync_interval_s": 0.1,
+    "wire_listen": "127.0.0.1:0",
+    "wire_client": "learning",
+    "wire_client_routes": [],
+    "wire_sync_quantum_s": 0.1,
+    "wire_latency_budget_s": 1.0,
+    "wire_dilation": 0.0,
+    "monitor_interval_s": 1.0,
+    "monitor_threshold": 0.5,
+    "monitor_mode": "push",
+    "monitor_push_min_delta_bytes": 10.0,
+    "link_sample_interval_s": 1.0,
+    "trace_path": "run.trace.jsonl",
+    "profile": True,
+    "checkpoint_path": "run.ckpt",
+    "checkpoint_interval_s": 1.0,
+}
+
+
+def _flat_keyword(key):
+    def call():
+        HorseConfig(**{key: REMOVED_FLAT_KEYS[key]})
+
+    return call
+
+
+def _kernel_section():
+    from repro.runtime.schema import validate_scenario
+
+    validate_scenario({"schema_version": 1, "kernel": {"queue": "heap"}})
+
+
+def _kernel_cli_flag():
+    from repro.cli import main
+
+    main(["run", "examples/scenarios/quickstart.json", "--kernel-queue", "heap"])
+
+
+@pytest.mark.parametrize(
+    "entry_point, error, needle",
+    [
+        (_flat_keyword(key), ExperimentError, key)
+        for key in REMOVED_FLAT_KEYS
+    ]
+    + [
+        (lambda: HorseConfig(kernel={"queue": "heap"}), ExperimentError, "kernel"),
+        (_kernel_section, ExperimentError, "kernel"),
+        (_kernel_cli_flag, SystemExit, "--kernel-queue"),
+    ],
+    ids=list(REMOVED_FLAT_KEYS)
+    + ["kernel-config", "kernel-scenario", "kernel-cli"],
+)
+def test_removed_config_surface_is_rejected(entry_point, error, needle, capsys):
+    with pytest.raises(error) as caught:
+        entry_point()
+    if error is SystemExit:
+        assert caught.value.code == 2
+        assert needle in capsys.readouterr().err
+    else:
+        assert needle in str(caught.value)
+    assert not hasattr(HorseConfig(), needle)

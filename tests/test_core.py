@@ -100,7 +100,7 @@ class TestFacade:
         horse = Horse(
             topo,
             policies={"forwarding": {"mode": "shortest-path", "match_on": "ip_dst"}},
-            config=HorseConfig(monitor_interval_s=1.0),
+            config=HorseConfig(telemetry={"monitor_interval_s": 1.0}),
         )
         horse.submit_flows(
             [flow_between(topo, "h1", "h4", size_bytes=None, duration_s=3.0)]

@@ -147,42 +147,60 @@ def test_shard_section_accepts_bare_int():
     assert shard_section(doc)["quantum_s"] == 0.5
 
 
-def test_kernel_section_validates_and_round_trips():
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("control_latency_s", 0.5),
+        ("mtu_bytes", 9000),
+        ("solvr", "full"),
+        ("runtime", {}),
+        ("kernel", {"queue": "heap"}),
+    ],
+    ids=["control_latency_s", "mtu_bytes", "solvr", "runtime", "kernel"],
+)
+def test_validate_rejects_unknown_top_level_key(key, value):
     doc = v0_doc()
     doc["schema_version"] = 1
-    doc["kernel"] = {
-        "queue": "heap",
-        "compaction_threshold": 0.25,
-        "min_compact_size": 16,
-    }
+    doc[key] = value
+    with pytest.raises(ExperimentError, match=key):
+        validate_scenario(doc)
+
+
+def test_validate_type_checks_route_cache():
+    doc = v0_doc()
+    doc["schema_version"] = 1
+    doc["route_cache"] = "no"
+    with pytest.raises(ExperimentError, match="route_cache"):
+        validate_scenario(doc)
+    doc["route_cache"] = False
     validate_scenario(doc)
     from repro.runtime.scenario import build_config
 
-    config = build_config(doc)
-    assert config.kernel.queue == "heap"
-    assert config.kernel.compaction_threshold == 0.25
-    assert config.kernel.min_compact_size == 16
-    # null means "use the default" per the JSON convention...
-    doc["kernel"] = {"compaction_threshold": None}
-    validate_scenario(doc)
-    # ...but KernelConfig treats an explicit None as "disable".
-    assert build_config(doc).kernel.compaction_threshold is None
+    assert build_config(doc).route_cache is False
 
 
-def test_kernel_section_rejects_bad_values():
+def test_null_in_section_takes_the_field_default():
+    from repro.runtime.scenario import build_config
+
     doc = v0_doc()
     doc["schema_version"] = 1
-    doc["kernel"] = {"queue": "fibonacci"}
-    with pytest.raises(ExperimentError, match="kernel.queue"):
-        validate_scenario(doc)
-    doc["kernel"] = {"compaction_threshold": 2.0}
-    with pytest.raises(ExperimentError, match="kernel.compaction_threshold"):
-        validate_scenario(doc)
-    doc["kernel"] = {"queue": "heap", "min_compact_size": "lots"}
-    with pytest.raises(ExperimentError, match="kernel.min_compact_size"):
-        validate_scenario(doc)
-    doc["kernel"] = {"compactor": True}
-    with pytest.raises(ExperimentError, match="kernel.compactor"):
+    doc["engine"] = "hybrid"
+    doc["hybrid"] = {"sync_interval_s": None}
+    doc["telemetry"] = {"monitor_threshold": None, "monitor_interval_s": None}
+    validate_scenario(doc)
+    config = build_config(doc)
+    assert config.hybrid.sync_interval_s == 0.05
+    assert config.telemetry.monitor_threshold == 0.9
+    # null on an Optional field still means "off".
+    assert config.telemetry.monitor_interval_s is None
+
+
+def test_validate_applies_config_value_checks():
+    doc = v0_doc()
+    doc["schema_version"] = 1
+    doc["engine"] = "hybrid"
+    doc["hybrid"] = {"sync_interval_s": 0}
+    with pytest.raises(ExperimentError, match="hybrid.sync_interval_s"):
         validate_scenario(doc)
 
 
@@ -232,6 +250,9 @@ def test_migration_round_trip_lossless(top, runtime):
     the value unchanged, the result validates, and re-migration is a
     no-op."""
     reset_scenario_warnings()
+    if "checkpoint_interval_s" in runtime:
+        # HorseConfig.validate requires a destination for the ticker.
+        runtime.setdefault("checkpoint_path", "a.ckpt")
     doc = v0_doc(**top)
     if runtime:
         doc["runtime"] = dict(runtime)

@@ -221,7 +221,7 @@ class TestHorseIntegration:
         assert result.metrics["engine.rate_solves"] >= 1
 
     def test_run_metrics_unify_engine_channel_sim(self):
-        _, horse = small_horse(monitor_interval_s=1.0)
+        _, horse = small_horse(telemetry={"monitor_interval_s": 1.0})
         result = horse.run(until=3.0)
         metrics = result.metrics
         assert metrics["engine.rate_solves"] >= 1
@@ -232,7 +232,7 @@ class TestHorseIntegration:
 
     def test_tracing_via_config_writes_jsonl(self, tmp_path):
         path = str(tmp_path / "run.trace.jsonl")
-        _, horse = small_horse(trace_path=path)
+        _, horse = small_horse(telemetry={"trace_path": path})
         horse.run()
         horse.telemetry.disable_tracing()
         kinds = {r["kind"] for r in read_trace(path)}
@@ -242,14 +242,14 @@ class TestHorseIntegration:
         assert "solver.resolve" in kinds
 
     def test_profiling_via_config_reports_phases(self):
-        _, horse = small_horse(profile=True)
+        _, horse = small_horse(telemetry={"profile": True})
         result = horse.run()
         profile = result.engine_stats["profile"]
         assert set(profile) >= {"dispatch", "solve", "route"}
         assert profile["dispatch"]["count"] > 0
 
     def test_monitor_accessor_creates_and_returns(self):
-        _, horse = small_horse(monitor_interval_s=1.0)
+        _, horse = small_horse(telemetry={"monitor_interval_s": 1.0})
         monitor = horse.monitor()
         assert monitor is horse.monitor()
         horse.run(until=2.5)
@@ -264,7 +264,7 @@ class TestHorseIntegration:
 
     def test_checkpoint_restore_preserves_registry(self, tmp_path):
         path = str(tmp_path / "state.ckpt")
-        _, horse = small_horse(monitor_interval_s=1.0)
+        _, horse = small_horse(telemetry={"monitor_interval_s": 1.0})
         horse.telemetry.registry.counter("app.custom").inc(5)
         horse.run(until=2.0)
         before = horse.telemetry.snapshot()
