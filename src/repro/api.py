@@ -54,8 +54,6 @@ from .runtime.scenario import (
 from .runtime.schema import (
     SCHEMA_VERSION,
     Scenario,
-    ensure_v1,
-    migrate_scenario,
     validate_scenario,
 )
 from .runtime.sweep import SweepSpec, run_sweep
@@ -83,8 +81,6 @@ __all__ = [
     "build_horse",
     "build_topology",
     "build_traffic",
-    "ensure_v1",
-    "migrate_scenario",
     "run_scenario",
     "validate_scenario",
     # Sharded parallel runtime

@@ -39,13 +39,7 @@ from .runtime.scenario import (
     reset_id_counters,
     run_scenario,
 )
-from .runtime.schema import (
-    SCHEMA_VERSION,
-    ensure_v1,
-    migrate_scenario,
-    shard_section,
-    validate_scenario,
-)
+from .runtime.schema import shard_section, validate_scenario
 from .stats.export import flows_to_csv, result_to_json, run_digest, summary_text
 
 
@@ -74,9 +68,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ExperimentError("a scenario file (or --restore) is required")
         with open(args.scenario) as handle:
             scenario = json.load(handle)
-        # Legacy (v0) documents migrate in memory, warning once per key;
-        # CLI overrides are applied to the v1 sections.
-        scenario = ensure_v1(scenario)
         if args.checkpoint:
             section = scenario.setdefault("checkpoint", {})
             section["path"] = args.checkpoint
@@ -186,7 +177,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     reset_id_counters()
     with open(args.scenario) as handle:
         scenario = json.load(handle)
-    scenario = ensure_v1(scenario)
     scenario["control"] = "wire"
     wire = scenario.setdefault("wire", {})
     wire.pop("client", None)  # serve = external controller
@@ -261,7 +251,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         reset_id_counters()
         with open(args.scenario) as handle:
             scenario = json.load(handle)
-        scenario = ensure_v1(scenario)
         scenario.setdefault("telemetry", {})["trace_path"] = args.out
         horse, fabric = build_horse(scenario, solver=args.solver)
         count = _build_traffic(scenario.get("traffic", {}), horse, fabric)
@@ -422,39 +411,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(output)
     # Same gate semantics as `repro analyze`: non-zero only with --strict.
     return report.exit_code(strict=args.strict)
-
-
-def cmd_migrate_scenario(args: argparse.Namespace) -> int:
-    """Rewrite a legacy (v0) scenario document to schema v1."""
-    with open(args.scenario) as handle:
-        doc = json.load(handle)
-    if "grid" in doc and "base" in doc:
-        # A sweep spec: the scenario lives under "base"; the top-level
-        # "runtime" section is the pool's (retries/backoff/workers).
-        migrated = dict(doc)
-        migrated["base"], notes = migrate_scenario(doc["base"])
-        validate_scenario(migrated["base"])
-        notes = [f"base.{note}" for note in notes]
-    else:
-        migrated, notes = migrate_scenario(doc)
-        validate_scenario(migrated)
-    text = json.dumps(migrated, indent=2) + "\n"
-    for note in notes:
-        print(f"  {note}", file=sys.stderr)
-    if not notes:
-        print(f"{args.scenario}: already at schema v{SCHEMA_VERSION}",
-              file=sys.stderr)
-    if args.in_place:
-        with open(args.scenario, "w") as handle:
-            handle.write(text)
-        print(f"rewrote {args.scenario}", file=sys.stderr)
-    elif args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
 
 
 def cmd_topo(args: argparse.Namespace) -> int:
@@ -802,21 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     lint_p.set_defaults(func=cmd_lint)
-
-    mig_p = sub.add_parser(
-        "migrate-scenario",
-        help="rewrite a legacy (v0) scenario file to schema v1",
-    )
-    mig_p.add_argument("scenario", help="scenario JSON path")
-    mig_p.add_argument(
-        "--out", metavar="PATH", help="write here instead of stdout"
-    )
-    mig_p.add_argument(
-        "--in-place",
-        action="store_true",
-        help="overwrite the input file",
-    )
-    mig_p.set_defaults(func=cmd_migrate_scenario)
 
     topo_p = sub.add_parser("topo", help="generate a topology file")
     topo_p.add_argument(

@@ -209,14 +209,6 @@ class NetworkMonitor:
             return True
         return bool(self.samples) and self.samples[-1] is not self._last_sample
 
-    @staticmethod
-    def _utilization_of(sample) -> Dict[PortKey, float]:
-        # History scans tolerate raw-dict samples callers may have
-        # spliced in alongside MonitorSample objects.
-        if isinstance(sample, MonitorSample):
-            return sample.utilization
-        return sample["utilization"]
-
     def utilization_series(self, key: PortKey) -> List[Tuple[float, float]]:
         """(time, utilization) points for one egress port.
 
@@ -227,9 +219,9 @@ class NetworkMonitor:
         """
         if self._history_mutated():
             return [
-                (s.time if isinstance(s, MonitorSample) else s["time"], u[key])
+                (s.time, s.utilization[key])
                 for s in self.samples
-                if key in (u := self._utilization_of(s))
+                if key in s.utilization
             ]
         return list(self._series.get(key, ()))
 
@@ -244,7 +236,7 @@ class NetworkMonitor:
         if self._history_mutated():
             out: Dict[PortKey, float] = {}
             for sample in self.samples:
-                for key, value in self._utilization_of(sample).items():
+                for key, value in sample.utilization.items():
                     if value > out.get(key, 0.0):
                         out[key] = value
             return out

@@ -20,7 +20,6 @@ from .spec import (
 )
 from .validation import (
     Conflict,
-    detect_rule_conflicts,
     validate_composition,
     validate_or_raise,
     validate_spec,
@@ -41,7 +40,6 @@ __all__ = [
     "SourceRoutingSpec",
     "Stage",
     "compile_policies",
-    "detect_rule_conflicts",
     "parse_policy_config",
     "parse_rate",
     "plan_composition",

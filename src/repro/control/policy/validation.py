@@ -10,9 +10,8 @@ of policy composition."  Implemented here as two layers:
   limits), returning structured :class:`Conflict` records.
 
 Rule-level checking (same-priority overlaps, cross-priority shadowing)
-lives in :mod:`repro.analysis.rules`; the :func:`detect_rule_conflicts`
-kept here is a deprecated shim that delegates to it.  For full
-data-plane verification — loops, blackholes, reachability — see
+lives in :mod:`repro.analysis.rules`.  For full data-plane
+verification — loops, blackholes, reachability — see
 :mod:`repro.analysis`.
 """
 
@@ -24,7 +23,6 @@ from typing import List, Optional, Sequence
 from ...errors import PolicyConflictError, PolicyValidationError
 from ...net.address import AddressError, IPv4Address, IPv4Network, MacAddress
 from ...net.topology import Topology
-from ...openflow.switch import OpenFlowPipeline
 from ..apps.app_peering import app_port
 from .spec import (
     AppPeeringSpec,
@@ -265,24 +263,3 @@ def validate_or_raise(
             "; ".join(str(c) for c in errors)
         )
     return conflicts
-
-
-def detect_rule_conflicts(pipeline: OpenFlowPipeline) -> List[dict]:
-    """Deprecated shim: use :func:`repro.analysis.rules.detect_rule_conflicts`.
-
-    The checker moved to the analysis package, where it gained
-    cross-priority shadow detection and a priority-bucketed scan in
-    place of the old same-priority-only O(n^2) pass.  This wrapper
-    preserves the import path and the dict shape for one release.
-    """
-    import warnings
-
-    from ...analysis.rules import detect_rule_conflicts as _detect
-
-    warnings.warn(
-        "repro.control.policy.validation.detect_rule_conflicts is "
-        "deprecated; use repro.analysis.rules.detect_rule_conflicts",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _detect(pipeline)

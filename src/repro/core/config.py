@@ -9,7 +9,7 @@
                 telemetry=TelemetryConfig(monitor_interval_s=0.5))
 
 Scenario JSON documents mirror the same sections (``"schema_version":
-1``; see :mod:`repro.runtime.schema` for the v0 migrator).
+1``; see :mod:`repro.runtime.schema`).
 :meth:`HorseConfig.validate` is the one place that decides which
 values are valid, for constructor calls and scenario files alike.
 """

@@ -18,10 +18,6 @@ NOQA_PATTERN = re.compile(
     r"#\s*repro:\s*noqa\[([A-Za-z0-9_,\s*]+)\]\s*(?:[-:]\s*(?P<reason>\S.*))?"
 )
 
-#: Legacy suppression marker honored by the PRIV rules (predates the
-#: framework; new code should use ``# repro: noqa[PRIV001] - reason``).
-LEGACY_PRIVATE_OK = "private-ok"
-
 
 class Suppression:
     """One parsed noqa comment: the rule ids it covers and its reason."""
@@ -104,11 +100,6 @@ class ModuleContext:
 
     def suppression_at(self, line: int) -> Optional[Suppression]:
         return self.suppressions.get(line)
-
-    def line_text(self, line: int) -> str:
-        if 0 < line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 class ImportTable:

@@ -1,8 +1,7 @@
 """Cross-module private-member access rules (PRIV...).
 
 The observation-API redesign promoted every cross-module touch point to
-a public name; these rules keep it that way.  They are the framework
-port of ``tools/check_private_access.py`` (which now delegates here):
+a public name; these rules keep it that way:
 
 * PRIV001 — ``obj._name`` attribute access where ``obj`` is anything
   but the literal ``self`` or ``cls``: the static over-approximation of
@@ -13,8 +12,7 @@ port of ``tools/check_private_access.py`` (which now delegates here):
 
 Same-class access through another instance (``other._seq`` in
 ``__lt__``) is rare and legitimate; mark those lines with
-``# repro: noqa[PRIV001] - <why>`` (the legacy ``# private-ok`` marker
-is still honored).
+``# repro: noqa[PRIV001] - <why>``.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..context import LEGACY_PRIVATE_OK, ModuleContext
+from ..context import ModuleContext
 from ..findings import LintFinding
 from ..registry import Rule, register
 
@@ -37,10 +35,6 @@ def _is_private(name: str) -> bool:
         and name != "_"
         and not (name.startswith("__") and name.endswith("__"))
     )
-
-
-def _legacy_suppressed(module: ModuleContext, line: int) -> bool:
-    return LEGACY_PRIVATE_OK in module.line_text(line)
 
 
 @register
@@ -67,8 +61,6 @@ class PrivateAttributeRule(Rule):
                 isinstance(value, ast.Name)
                 and (value.id, node.attr) in ALLOWED_PAIRS
             ):
-                continue
-            if _legacy_suppressed(module, node.lineno):
                 continue
             receiver = (
                 value.id
@@ -100,8 +92,6 @@ class PrivateImportRule(Rule):
                 continue
             for alias in node.names:
                 if not _is_private(alias.name):
-                    continue
-                if _legacy_suppressed(module, node.lineno):
                     continue
                 origin = node.module or "." * node.level
                 yield self.finding(

@@ -394,4 +394,4 @@ class Topology:
 
 def invalidate_paths_on_change(topology: Topology) -> None:
     """Explicitly clear the path cache (e.g. after manual link edits)."""
-    topology._path_cache.clear()  # private-ok: same-module helper
+    topology._path_cache.clear()  # repro: noqa[PRIV001] - same-module helper

@@ -7,9 +7,7 @@ run`` CLI and the sweep workers: both must construct byte-identical
 simulations from the same document for sweep results to be independent
 of where a job executes.
 
-Schema v1 (see :mod:`repro.runtime.schema`; legacy v0 documents with
-flat ``hybrid_*``/``wire_*`` keys and a ``runtime`` section are
-migrated on load with deprecation warnings)::
+Schema v1 (see :mod:`repro.runtime.schema`)::
 
     {
       "schema_version": 1,
@@ -57,7 +55,7 @@ from ..net.io import load_topology
 from ..control.policy.spec import parse_rate
 from ..traffic.flowgen import FlowGenerator
 from ..traffic.matrix import TrafficMatrix
-from .schema import ensure_v1, scenario_config, shard_section
+from .schema import scenario_config, shard_section
 
 
 def build_topology(spec: dict):
@@ -109,12 +107,11 @@ def build_config(
     """A :class:`HorseConfig` from a scenario document.
 
     ``solver`` overrides the scenario's choice (the ``repro run
-    --solver`` flag).  Legacy (v0) documents are migrated in memory
-    first, warning once per deprecated key.  Raises
+    --solver`` flag).  Raises
     :class:`~repro.errors.ExperimentError` naming the first invalid
     field (see :func:`repro.runtime.schema.validate_scenario`).
     """
-    return scenario_config(ensure_v1(scenario), solver=solver)
+    return scenario_config(scenario, solver=solver)
 
 
 def build_horse(
@@ -194,7 +191,7 @@ def run_scenario(
     parallel runtime (see :mod:`repro.shard`) and the returned horse is
     None — the k simulations lived in worker processes.
     """
-    shards = shard_section(ensure_v1(scenario, warn=False))
+    shards = shard_section(scenario)
     if int(shards.get("count", 1)) > 1:
         from ..shard import run_sharded
 

@@ -1,11 +1,7 @@
-"""Scenario schema versioning: validation, and the v0 -> v1 migrator.
+"""Scenario schema: structural validation and the document -> config step.
 
-Scenario JSON grew the same flat-key sprawl the config did: engine
-knobs at the top level (``hybrid_select``, ``wire_client``,
-``monitor_interval_s``) next to a grab-bag ``runtime`` section
-(``checkpoint_path``, ``wire_listen``, ``trace_path``, ...).  Schema
-**v1** mirrors :class:`~repro.core.config.HorseConfig`'s nested
-sections instead::
+A scenario document mirrors :class:`~repro.core.config.HorseConfig`'s
+nested sections::
 
     {
       "schema_version": 1,
@@ -19,10 +15,8 @@ sections instead::
       "shards":    {"count": 4, "quantum_s": null, "partition": "greedy"}
     }
 
-``"shards"`` also accepts a bare integer (``"shards": 4``).  Documents
-without ``schema_version`` are treated as v0: :func:`ensure_v1`
-migrates them in memory, warning once per deprecated key per process;
-``repro migrate-scenario`` rewrites the file.
+``"shards"`` also accepts a bare integer (``"shards": 4``).  An absent
+``schema_version`` means 1; any other value is rejected.
 
 :func:`validate_scenario` checks only structure here — the schema
 version, known keys, and JSON types (plus ``until >= 0``, which is
@@ -36,9 +30,7 @@ Errors name the offending field by dotted path
 
 from __future__ import annotations
 
-import copy
-import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional
 
 from ..core.config import HorseConfig
 from ..errors import ExperimentError
@@ -48,30 +40,6 @@ SCHEMA_VERSION = 1
 _NUM = (int, float)
 _OPT_NUM = (int, float, type(None))
 _OPT_STR = (str, type(None))
-
-#: v0 top-level scenario key -> (v1 section, field).
-V0_TOP_KEYS: Dict[str, Tuple[str, str]] = {
-    "hybrid_select": ("hybrid", "select"),
-    "hybrid_sync_interval_s": ("hybrid", "sync_interval_s"),
-    "wire_client": ("wire", "client"),
-    "monitor_interval_s": ("telemetry", "monitor_interval_s"),
-    "link_sample_interval_s": ("telemetry", "link_sample_interval_s"),
-}
-
-#: v0 ``runtime`` section key -> (v1 section, field).
-V0_RUNTIME_KEYS: Dict[str, Tuple[str, str]] = {
-    "monitor_mode": ("telemetry", "monitor_mode"),
-    "monitor_push_min_delta_bytes": ("telemetry", "monitor_push_min_delta_bytes"),
-    "trace_path": ("telemetry", "trace_path"),
-    "profile": ("telemetry", "profile"),
-    "checkpoint_path": ("checkpoint", "path"),
-    "checkpoint_interval_s": ("checkpoint", "interval_s"),
-    "wire_listen": ("wire", "listen"),
-    "wire_client_routes": ("wire", "client_routes"),
-    "wire_sync_quantum_s": ("wire", "sync_quantum_s"),
-    "wire_latency_budget_s": ("wire", "latency_budget_s"),
-    "wire_dilation": ("wire", "dilation"),
-}
 
 #: v1 section -> {field: accepted types} (None values always allowed to
 #: mean "use the default", matching JSON null round-trips).
@@ -115,100 +83,12 @@ TOP_KEYS = frozenset(
      "seed", "control", "until", "topology", "policies", "traffic"}
 ) | frozenset(SECTION_FIELDS)
 
-#: Deprecated scenario keys already warned about (warn-once semantics).
-_WARNED_SCENARIO_KEYS: Set[str] = set()
-
-
-def reset_scenario_warnings() -> None:
-    """Forget which deprecated scenario keys have warned (test hook)."""
-    _WARNED_SCENARIO_KEYS.clear()
-
-
-def _warn_scenario_key(old: str, section: str, field: str) -> None:
-    if old in _WARNED_SCENARIO_KEYS:
-        return
-    _WARNED_SCENARIO_KEYS.add(old)
-    warnings.warn(
-        f"scenario key {old!r} is deprecated; use \"{section}\": "
-        f"{{\"{field}\": ...}} (or run `repro migrate-scenario`)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def scenario_version(doc: dict) -> int:
-    """The document's declared schema version (absent = 0)."""
-    version = doc.get("schema_version", 0)
-    if not isinstance(version, int) or version < 0:
-        raise ExperimentError(
-            f"schema_version: must be a non-negative integer, got {version!r}"
-        )
-    return version
-
-
-def migrate_scenario(doc: dict) -> Tuple[dict, List[str]]:
-    """A v1 copy of ``doc``, plus a list of ``old -> new`` move notes.
-
-    v1 documents come back unchanged (and an empty note list).  The
-    input is never mutated.
-    """
-    version = scenario_version(doc)
-    if version > SCHEMA_VERSION:
-        raise ExperimentError(
-            f"schema_version: {version} is newer than this build "
-            f"supports ({SCHEMA_VERSION})"
-        )
-    out = copy.deepcopy(doc)
-    if version == SCHEMA_VERSION:
-        return out, []
-    notes: List[str] = []
-
-    def move(value, section: str, field: str, old: str) -> None:
-        target = out.setdefault(section, {})
-        if not isinstance(target, dict):
-            raise ExperimentError(
-                f"{section}: expected an object, got {type(target).__name__}"
-            )
-        # An explicit v1-style value wins over the legacy flat key.
-        target.setdefault(field, value)
-        notes.append(f"{old} -> {section}.{field}")
-
-    for old, (section, field) in V0_TOP_KEYS.items():
-        if old in out:
-            move(out.pop(old), section, field, old)
-    runtime = out.pop("runtime", None) or {}
-    if not isinstance(runtime, dict):
-        raise ExperimentError(
-            f"runtime: expected an object, got {type(runtime).__name__}"
-        )
-    for old, (section, field) in V0_RUNTIME_KEYS.items():
-        if old in runtime:
-            move(runtime.pop(old), section, field, f"runtime.{old}")
-    if runtime:
-        unknown = ", ".join(sorted(runtime))
-        raise ExperimentError(f"runtime: unknown key(s): {unknown}")
-    out["schema_version"] = SCHEMA_VERSION
-    notes.append(f"schema_version -> {SCHEMA_VERSION}")
-    return out, notes
-
-
-def ensure_v1(doc: dict, warn: bool = True) -> dict:
-    """``doc`` migrated to v1 (a copy when migration was needed).
-
-    With ``warn`` (the default) each legacy key found triggers a
-    once-per-process :class:`DeprecationWarning` naming its new home.
-    """
-    if scenario_version(doc) == SCHEMA_VERSION:
-        return doc
-    migrated, notes = migrate_scenario(doc)
-    if warn:
-        for note in notes:
-            old, _, new = note.partition(" -> ")
-            if old == "schema_version":
-                continue
-            section, _, field = new.partition(".")
-            _warn_scenario_key(old, section, field)
-    return migrated
+#: Top-level keys whose value the builders walk as JSON structure.
+_STRUCTURE_TYPES: Dict[str, tuple] = {
+    "topology": (dict,),
+    "traffic": (dict,),
+    "policies": (dict, list, type(None)),
+}
 
 
 def _check_type(path: str, value, types: tuple) -> None:
@@ -235,14 +115,13 @@ def _type_names(types: tuple) -> str:
 def validate_scenario(doc: dict) -> None:
     """Check a scenario document; raises
     :class:`~repro.errors.ExperimentError` naming the offending field
-    by dotted path.  Accepts v0 documents by migrating a throwaway
-    copy first, so errors always report v1 paths.
+    by dotted path.
     """
-    scenario_config(ensure_v1(doc, warn=False))
+    scenario_config(doc)
 
 
 def scenario_config(doc: dict, solver: Optional[str] = None) -> HorseConfig:
-    """The :class:`HorseConfig` a v1 document describes.
+    """The :class:`HorseConfig` a scenario document describes.
 
     Checks the document's structure (known keys, JSON types) and leaves
     every config value check to :meth:`HorseConfig.validate`; only
@@ -250,9 +129,17 @@ def scenario_config(doc: dict, solver: Optional[str] = None) -> HorseConfig:
     checked here.  ``solver`` overrides the document's choice
     (``repro run --solver``).
     """
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ExperimentError(
+            f"schema_version: must be {SCHEMA_VERSION}, got {version!r}"
+        )
     unknown = sorted(set(doc) - TOP_KEYS)
     if unknown:
         raise ExperimentError(f"{', '.join(unknown)}: unknown key")
+    for key, types in _STRUCTURE_TYPES.items():
+        if key in doc:
+            _check_type(key, doc[key], types)
     if "until" in doc and doc["until"] is not None:
         _check_type("until", doc["until"], _NUM)
         if doc["until"] < 0:
@@ -314,10 +201,10 @@ def shard_section(doc: dict) -> dict:
 class Scenario:
     """A validated scenario document, ready to build or run.
 
-    The stable object form of a scenario file: loads JSON, migrates
-    legacy (v0) keys, validates with dotted-path errors, and exposes
-    the builders the CLI uses, so programmatic callers and shell
-    invocations construct byte-identical simulations.
+    The stable object form of a scenario file: loads JSON, validates
+    with dotted-path errors, and exposes the builders the CLI uses, so
+    programmatic callers and shell invocations construct byte-identical
+    simulations.
 
     Examples
     --------
@@ -326,8 +213,8 @@ class Scenario:
     """
 
     def __init__(self, doc: dict) -> None:
-        self.doc = ensure_v1(doc)
-        validate_scenario(self.doc)
+        validate_scenario(doc)
+        self.doc = doc
 
     @classmethod
     def from_file(cls, path: str) -> "Scenario":

@@ -39,7 +39,6 @@ from ..errors import SweepError
 from ..sim.rng import spawn_seed
 from .pool import run_jobs
 from .scenario import reset_id_counters, run_scenario
-from .schema import ensure_v1
 
 MANIFEST_VERSION = 1
 
@@ -181,7 +180,7 @@ def _sweep_worker(payload: Dict[str, Any]) -> dict:
         os._exit(FAULT_EXIT_CODE)
 
     reset_id_counters()
-    scenario = ensure_v1(copy.deepcopy(payload["scenario"]), warn=False)
+    scenario = copy.deepcopy(payload["scenario"])
     # Per-phase wall clock on by default so every job manifests where its
     # time went; the spec can opt out with {"telemetry": {"profile": false}}.
     scenario.setdefault("telemetry", {}).setdefault("profile", True)

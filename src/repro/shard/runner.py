@@ -51,7 +51,6 @@ from ..runtime.scenario import (
     build_traffic,
     reset_id_counters,
 )
-from ..runtime.schema import ensure_v1
 from .partition import ShardPlan, partition_topology
 
 #: Floor for a derived synchronization quantum.  Link propagation
@@ -470,7 +469,6 @@ def run_sharded(
     horizon (open-ended draining has no conservative termination
     criterion across processes).
     """
-    scenario = ensure_v1(scenario, warn=False)
     config: HorseConfig = build_config(scenario, solver=solver)
     count = config.shard.count
     if count < 2:

@@ -77,7 +77,7 @@ class ProcessHandle:
                 # Already done: resume at the same instant.
                 self.sim.call_in(0.0, lambda s: self._step(yielded.result))
             else:
-                yielded._waiters.append(self)  # private-ok: same class
+                yielded._waiters.append(self)  # repro: noqa[PRIV001] - same class
         else:
             self._crash(
                 SimulationError(
@@ -96,7 +96,7 @@ class ProcessHandle:
         self.result = value
         waiters, self._waiters = self._waiters, []
         for waiter in waiters:
-            self.sim.call_in(0.0, lambda s, w=waiter: w._step(self.result))  # private-ok
+            self.sim.call_in(0.0, lambda s, w=waiter: w._step(self.result))  # repro: noqa[PRIV001] - same class
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"
@@ -124,5 +124,5 @@ def spawn(
             "process bodies must use yield"
         )
     handle = ProcessHandle(sim, body, name or getattr(fn, "__name__", "process"))
-    sim.call_in(delay, lambda s: handle._step())  # private-ok: same module
+    sim.call_in(delay, lambda s: handle._step())  # repro: noqa[PRIV001] - same module
     return handle

@@ -1,6 +1,6 @@
 """Statistics: time series, run collection, comparison metrics."""
 
-from .collector import RunStatsCollector, StatsCollector
+from .collector import RunStatsCollector
 from .export import (
     flow_row,
     flows_to_csv,
@@ -21,7 +21,6 @@ from .timeseries import TimeSeries
 
 __all__ = [
     "RunStatsCollector",
-    "StatsCollector",
     "flow_row",
     "flows_to_csv",
     "result_to_dict",

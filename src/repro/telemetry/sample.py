@@ -1,33 +1,18 @@
 """The typed monitoring sample.
 
-:class:`MonitorSample` replaces the raw dicts
-:class:`~repro.control.monitor.NetworkMonitor` used to hand to apps.
-Attribute access is the API; the mapping-style access the old dicts
-allowed (``sample["utilization"]``, ``sample.get("tx_bps")``) keeps
-working for one release through a shim that emits a
-:class:`DeprecationWarning` (once per call site under the default
-warning filter).
+:class:`MonitorSample` is what
+:class:`~repro.control.monitor.NetworkMonitor` hands to apps.
+Attribute access is the API; :meth:`MonitorSample.as_dict` gives an
+explicit plain-dict view.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Tuple
 
 #: A sample key: (switch name, port number) — the egress direction.
 PortKey = Tuple[str, int]
-
-
-def _warn_mapping_access(what: str) -> None:
-    # stacklevel=3: _warn_mapping_access <- shim method <- user call site,
-    # so the warning registry dedupes per user call site.
-    warnings.warn(
-        f"dict-style MonitorSample access ({what}) is deprecated; "
-        "use attribute access (sample.utilization, sample.tx_bps, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -53,31 +38,8 @@ class MonitorSample:
     utilization: Dict[PortKey, float] = field(default_factory=dict)
     congested: List[PortKey] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    # Deprecated mapping shim (one release)
-    # ------------------------------------------------------------------
-    def __getitem__(self, key: str):
-        _warn_mapping_access(f"sample[{key!r}]")
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default=None):
-        _warn_mapping_access(f"sample.get({key!r})")
-        return getattr(self, key, default)
-
-    def __contains__(self, key: object) -> bool:
-        _warn_mapping_access(f"{key!r} in sample")
-        return isinstance(key, str) and key in _FIELD_NAMES
-
-    def keys(self) -> Tuple[str, ...]:
-        _warn_mapping_access("sample.keys()")
-        return _FIELD_NAMES
-
-    # ------------------------------------------------------------------
     def as_dict(self) -> dict:
-        """An explicit (non-deprecated) plain-dict view."""
+        """An explicit plain-dict view."""
         return {name: getattr(self, name) for name in _FIELD_NAMES}
 
 

@@ -126,7 +126,7 @@ class TestCheckpointRoundTrip:
         path = str(tmp_path / "tick.ckpt")
         scenario = dict(
             SCENARIO,
-            runtime={"checkpoint_path": path, "checkpoint_interval_s": 0.8},
+            checkpoint={"path": path, "interval_s": 0.8},
         )
         full = _build(scenario)
         want = _fingerprint(full, full.run(until=3.0))
@@ -142,7 +142,7 @@ class TestCheckpointRoundTrip:
         """The hybrid engine's full coupled state — packet queues and
         transports, solver external demands, sync ticker, selection
         threshold — survives a pickle + disk round trip bitwise."""
-        scenario = dict(SCENARIO, engine="hybrid", hybrid_select="top:3")
+        scenario = dict(SCENARIO, engine="hybrid", hybrid={"select": "top:3"})
         plain = _build(scenario)
         plain.run(until=1.0)
         want = _fingerprint(plain, plain.run(until=3.0))
@@ -167,8 +167,8 @@ class TestCheckpointRoundTrip:
         scenario = dict(
             SCENARIO,
             engine="hybrid",
-            hybrid_select="top:2",
-            runtime={"checkpoint_path": path, "checkpoint_interval_s": 0.8},
+            hybrid={"select": "top:2"},
+            checkpoint={"path": path, "interval_s": 0.8},
         )
         full = _build(scenario)
         want = _fingerprint(full, full.run(until=3.0))
@@ -185,7 +185,7 @@ class TestCheckpointRoundTrip:
         path = str(tmp_path / "tick.ckpt")
         scenario = dict(
             SCENARIO,
-            runtime={"checkpoint_path": path, "checkpoint_interval_s": 0.8},
+            checkpoint={"path": path, "interval_s": 0.8},
         )
         horse = _build(scenario)
         horse.run(until=1.0)  # ticker fired at 0.8

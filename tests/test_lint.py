@@ -188,11 +188,12 @@ class TestSuppressions:
         report = self.run(WRONG_RULE_SRC)
         assert "DET001" in rules_found(report)
 
-    def test_legacy_private_ok_still_honored(self):
+    def test_legacy_private_ok_no_longer_suppresses(self):
         source = "def f(other):\n    return other._seq  # private-ok\n"
         report = LintReport()
         lint_source("pkg/mod.py", source, all_rules(), report)
-        assert report.ok
+        assert rules_found(report) == {"PRIV001"}
+        assert report.suppressed == 0
 
     def test_syntax_error_is_lint001(self):
         report = LintReport()
@@ -339,15 +340,6 @@ class TestCli:
         proc = run_cli("lint", "src/repro/lint", "--select", "NOPE")
         assert proc.returncode == 1
         assert "unknown rule" in proc.stderr
-
-    def test_private_access_shim_delegates(self):
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "tools" / "check_private_access.py")],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO),
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ----------------------------------------------------------------------

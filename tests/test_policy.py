@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.rules import detect_rule_conflicts
 from repro.control.policy import (
     AppPeeringSpec,
     BlackholingSpec,
@@ -12,7 +13,6 @@ from repro.control.policy import (
     RateLimitingSpec,
     SourceRoutingSpec,
     compile_policies,
-    detect_rule_conflicts,
     parse_policy_config,
     parse_rate,
     plan_composition,

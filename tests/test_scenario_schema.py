@@ -1,43 +1,31 @@
-"""Scenario schema versioning: v0 migration, validation, Scenario API.
+"""Scenario schema: validation, the document -> config step, Scenario API.
 
-The api_redesign contract for documents: ``schema_version: 1`` nests
-runtime knobs into sections mirroring the config dataclasses; legacy
-v0 documents (flat ``hybrid_*``/``wire_*`` top-level keys plus a
-``runtime`` section) migrate losslessly with warn-once deprecations;
-validation reports dotted paths.  The hypothesis round-trip pins the
-lossless part over the whole migratable key space.
+``schema_version: 1`` documents nest engine knobs into sections
+mirroring the config dataclasses, and validation reports dotted paths.
+The pre-v1 dialect (flat ``hybrid_*``/``wire_*`` top-level keys plus a
+``runtime`` section) is rejected, naming the key.  The hypothesis
+round-trip pins that every section field reaches its config section
+unchanged.
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import ExperimentError
+from repro.runtime.scenario import build_config
 from repro.runtime.schema import (
     SCHEMA_VERSION,
-    V0_RUNTIME_KEYS,
-    V0_TOP_KEYS,
     Scenario,
-    ensure_v1,
-    migrate_scenario,
-    reset_scenario_warnings,
-    scenario_version,
     shard_section,
     validate_scenario,
 )
 
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_scenario_warnings()
-    yield
-    reset_scenario_warnings()
-
-
 BASE = {
+    "schema_version": SCHEMA_VERSION,
     "engine": "flow",
     "until": 2.0,
     "topology": {"kind": "star", "hosts": 4},
@@ -46,101 +34,38 @@ BASE = {
 }
 
 
-def v0_doc(**extra) -> dict:
+def base_doc(**extra) -> dict:
     doc = json.loads(json.dumps(BASE))
     doc.update(extra)
     return doc
 
 
 # ----------------------------------------------------------------------
-# Migration
-# ----------------------------------------------------------------------
-def test_v0_top_keys_move_into_sections():
-    doc, notes = migrate_scenario(
-        v0_doc(hybrid_select="top:2", monitor_interval_s=1.0)
-    )
-    assert doc["schema_version"] == SCHEMA_VERSION
-    assert doc["hybrid"]["select"] == "top:2"
-    assert doc["telemetry"]["monitor_interval_s"] == 1.0
-    assert "hybrid_select" not in doc
-    assert any("schema_version" in note for note in notes)
-
-
-def test_v0_runtime_section_moves_and_dissolves():
-    doc, _notes = migrate_scenario(
-        v0_doc(
-            runtime={
-                "trace_path": "run.jsonl",
-                "checkpoint_path": "run.ckpt",
-                "checkpoint_interval_s": 1.0,
-                "wire_sync_quantum_s": 0.1,
-            }
-        )
-    )
-    assert "runtime" not in doc
-    assert doc["telemetry"]["trace_path"] == "run.jsonl"
-    assert doc["checkpoint"] == {"path": "run.ckpt", "interval_s": 1.0}
-    assert doc["wire"]["sync_quantum_s"] == 0.1
-
-
-def test_unknown_runtime_key_errors():
-    with pytest.raises(ExperimentError, match="runtime"):
-        migrate_scenario(v0_doc(runtime={"warp_factor": 9}))
-
-
-def test_explicit_v1_values_win_over_flat_leftovers():
-    doc, _ = migrate_scenario(
-        v0_doc(hybrid={"select": "all"}, hybrid_select="none")
-    )
-    assert doc["hybrid"]["select"] == "all"
-
-
-def test_migration_does_not_mutate_input():
-    original = v0_doc(monitor_interval_s=1.0)
-    snapshot = json.loads(json.dumps(original))
-    migrate_scenario(original)
-    assert original == snapshot
-
-
-def test_ensure_v1_idempotent_and_warns_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = ensure_v1(v0_doc(hybrid_select="all"))
-        again = ensure_v1(first)
-    assert again == first
-    dep = [w for w in caught if w.category is DeprecationWarning]
-    assert sum("hybrid_select" in str(w.message) for w in dep) == 1
-
-
-# ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
 def test_validate_reports_dotted_paths():
-    bad = v0_doc()
-    bad["schema_version"] = 1
+    bad = base_doc()
     bad["telemetry"] = {"monitor_interval_s": "fast"}
     with pytest.raises(ExperimentError, match="telemetry.monitor_interval_s"):
         validate_scenario(bad)
 
 
 def test_validate_rejects_unknown_section_key():
-    bad = v0_doc()
-    bad["schema_version"] = 1
+    bad = base_doc()
     bad["wire"] = {"listne": "127.0.0.1:0"}
     with pytest.raises(ExperimentError, match="wire"):
         validate_scenario(bad)
 
 
 def test_validate_rejects_future_schema_version():
-    bad = v0_doc()
+    bad = base_doc()
     bad["schema_version"] = 99
     with pytest.raises(ExperimentError, match="schema_version"):
         validate_scenario(bad)
 
 
 def test_shard_section_accepts_bare_int():
-    doc = v0_doc()
-    doc["schema_version"] = 1
+    doc = base_doc()
     doc["shards"] = 4
     assert shard_section(doc) == {"count": 4}
     doc["shards"] = {"count": 2, "quantum_s": 0.5}
@@ -159,31 +84,24 @@ def test_shard_section_accepts_bare_int():
     ids=["control_latency_s", "mtu_bytes", "solvr", "runtime", "kernel"],
 )
 def test_validate_rejects_unknown_top_level_key(key, value):
-    doc = v0_doc()
-    doc["schema_version"] = 1
+    doc = base_doc()
     doc[key] = value
     with pytest.raises(ExperimentError, match=key):
         validate_scenario(doc)
 
 
 def test_validate_type_checks_route_cache():
-    doc = v0_doc()
-    doc["schema_version"] = 1
+    doc = base_doc()
     doc["route_cache"] = "no"
     with pytest.raises(ExperimentError, match="route_cache"):
         validate_scenario(doc)
     doc["route_cache"] = False
     validate_scenario(doc)
-    from repro.runtime.scenario import build_config
-
     assert build_config(doc).route_cache is False
 
 
 def test_null_in_section_takes_the_field_default():
-    from repro.runtime.scenario import build_config
-
-    doc = v0_doc()
-    doc["schema_version"] = 1
+    doc = base_doc()
     doc["engine"] = "hybrid"
     doc["hybrid"] = {"sync_interval_s": None}
     doc["telemetry"] = {"monitor_threshold": None, "monitor_interval_s": None}
@@ -196,90 +114,160 @@ def test_null_in_section_takes_the_field_default():
 
 
 def test_validate_applies_config_value_checks():
-    doc = v0_doc()
-    doc["schema_version"] = 1
+    doc = base_doc()
     doc["engine"] = "hybrid"
     doc["hybrid"] = {"sync_interval_s": 0}
     with pytest.raises(ExperimentError, match="hybrid.sync_interval_s"):
         validate_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("topology", "fat-tree"),
+        ("topology", None),
+        ("traffic", []),
+        ("policies", 3),
+    ],
+    ids=["topology-str", "topology-null", "traffic-list", "policies-int"],
+)
+def test_validate_type_checks_document_structure(key, value):
+    doc = base_doc()
+    doc[key] = value
+    with pytest.raises(ExperimentError, match=f"^{key}: expected"):
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("version", [0, 2, True, 1.0, "1"])
+def test_schema_version_must_be_one(version):
+    with pytest.raises(ExperimentError, match="^schema_version: "):
+        validate_scenario(base_doc(schema_version=version))
+
+
 # ----------------------------------------------------------------------
-# Lossless round-trip over the migratable key space (property test)
+# The removed pre-v1 dialect
 # ----------------------------------------------------------------------
-_V0_VALUE_STRATEGIES = {
-    "hybrid_select": st.sampled_from(["none", "all", "top:2", "top:5"]),
-    "hybrid_sync_interval_s": st.floats(0.01, 1.0, allow_nan=False),
-    "wire_client": st.sampled_from(["learning", "static", None]),
-    "monitor_interval_s": st.floats(0.1, 10.0, allow_nan=False),
-    "link_sample_interval_s": st.floats(0.1, 10.0, allow_nan=False),
+#: Each removed pre-v1 key (``runtime.*`` lived in a ``runtime``
+#: section) -> its v1 ``section.field`` and a value that field accepts.
+REMOVED_V0_KEYS = {
+    "hybrid_select": ("hybrid.select", "top:2"),
+    "hybrid_sync_interval_s": ("hybrid.sync_interval_s", 0.1),
+    "wire_client": ("wire.client", "learning"),
+    "monitor_interval_s": ("telemetry.monitor_interval_s", 1.0),
+    "link_sample_interval_s": ("telemetry.link_sample_interval_s", 1.0),
+    "runtime.monitor_mode": ("telemetry.monitor_mode", "push"),
+    "runtime.monitor_push_min_delta_bytes": (
+        "telemetry.monitor_push_min_delta_bytes", 10.0,
+    ),
+    "runtime.trace_path": ("telemetry.trace_path", "a.jsonl"),
+    "runtime.profile": ("telemetry.profile", True),
+    "runtime.checkpoint_path": ("checkpoint.path", "a.ckpt"),
+    "runtime.checkpoint_interval_s": ("checkpoint.interval_s", 1.0),
+    "runtime.wire_listen": ("wire.listen", "127.0.0.1:0"),
+    "runtime.wire_client_routes": ("wire.client_routes", []),
+    "runtime.wire_sync_quantum_s": ("wire.sync_quantum_s", 0.1),
+    "runtime.wire_latency_budget_s": ("wire.latency_budget_s", 1.0),
+    "runtime.wire_dilation": ("wire.dilation", 0.0),
 }
-_RUNTIME_VALUE_STRATEGIES = {
-    "monitor_mode": st.sampled_from(["poll", "push"]),
-    "monitor_push_min_delta_bytes": st.floats(0, 1e6, allow_nan=False),
-    "trace_path": st.sampled_from(["a.jsonl", "b.jsonl"]),
-    "profile": st.booleans(),
-    "checkpoint_path": st.sampled_from(["a.ckpt", "b.ckpt"]),
-    "checkpoint_interval_s": st.floats(0.1, 10.0, allow_nan=False),
-    "wire_listen": st.sampled_from(["127.0.0.1:0", "0.0.0.0:6653"]),
-    "wire_sync_quantum_s": st.floats(0.01, 1.0, allow_nan=False),
-    "wire_latency_budget_s": st.floats(0.1, 10.0, allow_nan=False),
-    "wire_dilation": st.floats(0.0, 2.0, allow_nan=False),
+
+
+def v0_doc(old: str) -> dict:
+    """A pre-v1 document: no ``schema_version``, the key in its old place."""
+    _new, value = REMOVED_V0_KEYS[old]
+    section, _, key = old.rpartition(".")
+    doc = base_doc(**({section: {key: value}} if section else {key: value}))
+    del doc["schema_version"]
+    return doc
+
+
+@pytest.mark.parametrize("old", sorted(REMOVED_V0_KEYS))
+def test_removed_v0_key_is_rejected_by_name(old, tmp_path, capsys):
+    doc = v0_doc(old)
+    needle = old.partition(".")[0]
+    with pytest.raises(ExperimentError, match=f"^{needle}: unknown key"):
+        validate_scenario(doc)
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 1
+    assert f"error: {needle}: unknown key" in capsys.readouterr().err
+    # The v1 spelling of the same setting is accepted.
+    new, value = REMOVED_V0_KEYS[old]
+    section, field = new.split(".")
+    v1 = base_doc(**{section: {field: value}})
+    if section == "checkpoint":
+        v1["checkpoint"].setdefault("path", "a.ckpt")
+    validate_scenario(v1)
+
+
+def test_migrate_scenario_command_is_gone(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(BASE))
+    with pytest.raises(SystemExit) as caught:
+        main(["migrate-scenario", str(path)])
+    assert caught.value.code == 2
+    assert "invalid choice: 'migrate-scenario'" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Lossless round-trip over the section-field space (property test)
+# ----------------------------------------------------------------------
+_FIELD_STRATEGIES = {
+    ("hybrid", "select"): st.sampled_from(["none", "all", "top:2", "top:5"]),
+    ("hybrid", "sync_interval_s"): st.floats(0.01, 1.0, allow_nan=False),
+    ("wire", "client"): st.sampled_from(["learning", "static", None]),
+    ("telemetry", "monitor_interval_s"): st.floats(0.1, 10.0, allow_nan=False),
+    ("telemetry", "link_sample_interval_s"): st.floats(
+        0.1, 10.0, allow_nan=False
+    ),
+    ("telemetry", "monitor_mode"): st.sampled_from(["poll", "push"]),
+    ("telemetry", "monitor_push_min_delta_bytes"): st.floats(
+        0, 1e6, allow_nan=False
+    ),
+    ("telemetry", "trace_path"): st.sampled_from(["a.jsonl", "b.jsonl"]),
+    ("telemetry", "profile"): st.booleans(),
+    ("checkpoint", "path"): st.sampled_from(["a.ckpt", "b.ckpt"]),
+    ("checkpoint", "interval_s"): st.floats(0.1, 10.0, allow_nan=False),
+    ("wire", "listen"): st.sampled_from(["127.0.0.1:0", "0.0.0.0:6653"]),
+    ("wire", "sync_quantum_s"): st.floats(0.01, 1.0, allow_nan=False),
+    ("wire", "latency_budget_s"): st.floats(0.1, 10.0, allow_nan=False),
+    ("wire", "dilation"): st.floats(0.0, 2.0, allow_nan=False),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    top=st.dictionaries(
-        st.sampled_from(sorted(_V0_VALUE_STRATEGIES)), st.none(), max_size=5
+    values=st.dictionaries(
+        st.sampled_from(sorted(_FIELD_STRATEGIES)), st.none()
     ).flatmap(
         lambda keys: st.fixed_dictionaries(
-            {k: _V0_VALUE_STRATEGIES[k] for k in keys}
-        )
-    ),
-    runtime=st.dictionaries(
-        st.sampled_from(sorted(_RUNTIME_VALUE_STRATEGIES)), st.none(), max_size=6
-    ).flatmap(
-        lambda keys: st.fixed_dictionaries(
-            {k: _RUNTIME_VALUE_STRATEGIES[k] for k in keys}
+            {k: _FIELD_STRATEGIES[k] for k in keys}
         )
     ),
 )
-def test_migration_round_trip_lossless(top, runtime):
-    """Every legacy spelling lands on its documented nested field with
-    the value unchanged, the result validates, and re-migration is a
-    no-op."""
-    reset_scenario_warnings()
-    if "checkpoint_interval_s" in runtime:
+def test_section_round_trip_lossless(values):
+    """Every drawn section field validates and lands on its config
+    section with the value unchanged."""
+    if ("checkpoint", "interval_s") in values:
         # HorseConfig.validate requires a destination for the ticker.
-        runtime.setdefault("checkpoint_path", "a.ckpt")
-    doc = v0_doc(**top)
-    if runtime:
-        doc["runtime"] = dict(runtime)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        migrated, _notes = migrate_scenario(doc)
-        validate_scenario(migrated)
-        again, _ = migrate_scenario(migrated)
-    assert again == migrated
-    assert scenario_version(migrated) == SCHEMA_VERSION
-    for old, value in top.items():
-        section, field = V0_TOP_KEYS[old]
-        assert migrated[section][field] == value
-    for old, value in runtime.items():
-        section, field = V0_RUNTIME_KEYS[old]
-        assert migrated[section][field] == value
+        values.setdefault(("checkpoint", "path"), "a.ckpt")
+    doc = base_doc()
+    for (section, field), value in values.items():
+        doc.setdefault(section, {})[field] = value
+    validate_scenario(doc)
+    config = build_config(doc)
+    for (section, field), value in values.items():
+        assert getattr(getattr(config, section), field) == value
 
 
 # ----------------------------------------------------------------------
 # The Scenario convenience class
 # ----------------------------------------------------------------------
-def test_scenario_class_runs_v0_documents(tmp_path):
-    path = tmp_path / "legacy.json"
-    path.write_text(json.dumps(v0_doc(monitor_interval_s=1.0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        scenario = Scenario.from_file(str(path))
+def test_scenario_class_runs_documents_from_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(base_doc(telemetry={"monitor_interval_s": 1.0}))
+    )
+    scenario = Scenario.from_file(str(path))
     config = scenario.config()
     assert config.telemetry.monitor_interval_s == 1.0
     _horse, result, count = scenario.run()

@@ -152,21 +152,3 @@ class TestCollector:
         collector.harvest_flows({flow.flow_id: flow})
         collector.harvest_flows({flow.flow_id: flow})  # no duplicates
         assert collector.completed == [flow]
-
-
-class TestDeprecatedAlias:
-    def test_constructor_warns_once_per_call_site(self, line2):
-        import warnings
-
-        from repro.stats import StatsCollector
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                collector = StatsCollector(line2)  # one call site
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "RunStatsCollector" in str(deprecations[0].message)
-        assert isinstance(collector, RunStatsCollector)
